@@ -58,6 +58,7 @@ object MHJoint {
 
   def drawProposals(nR: Int, n: Int, T: Int, seed: Long)
       : (Int, Int, Array[Int], Array[Int]) = {
+    require(T >= 0, s"chain length T = $T must be >= 0")
     val rnd = new Random(seed)
     val r0 = rnd.nextInt(nR)
     val v0 = rnd.nextInt(n)
@@ -94,19 +95,30 @@ object MHJoint {
     JointChain(R, n, seed, statesR, statesV, propsR, propsV, accepted, deltas.toMap)
   }
 
-  /** Run fully locally. */
+  /** Throws `IllegalArgumentException` unless R is a non-empty set of
+    * distinct vertices of `g`.
+    */
+  private def requireProbes(g: CSRGraph, R: Array[Int]): Unit = {
+    require(R.nonEmpty, "probe set R is empty")
+    R.foreach(g.requireVertex(_, "probe r"))
+    require(R.distinct.length == R.length,
+      s"probe set R has duplicate members: ${R.diff(R.distinct).distinct.mkString(", ")}")
+  }
+
+  /** Run fully locally: one full sweep per distinct source, through one
+    * workspace.
+    */
   def run(g: CSRGraph, R: Array[Int], T: Int, seed: Long): JointChain = {
+    requireProbes(g, R)
     val (r0, v0, pr, pv) = drawProposals(R.length, g.n, T, seed)
-    def deltaOf(v: Int): Array[Double] = {
-      val d = LocalBrandes.dependency(g, v)
-      R.map(r => if (v == r) 0.0 else d(r))
-    }
-    walk(R, g.n, seed, r0, v0, pr, pv, deltaOf)
+    val ws = new LocalBrandes.Workspace(g.n)
+    walk(R, g.n, seed, r0, v0, pr, pv, v => ws.dependenciesOn(g, v, R))
   }
 
   /** Run with all dependency evaluations as one distributed job. */
   def runSpark(spark: SparkSession, g: CSRGraph, R: Array[Int], T: Int,
                seed: Long): JointChain = {
+    requireProbes(g, R)
     val (r0, v0, pr, pv) = drawProposals(R.length, g.n, T, seed)
     val table = SparkBrandes.dependenciesOnTargets(spark, g, v0 +: pv.toSeq, R)
     walk(R, g.n, seed, r0, v0, pr, pv, table)

@@ -66,13 +66,23 @@ final case class Chain(
   * the whole proposal stream is drawn up front and every needed dependency
   * score δ_{v•}(r) is evaluated as **one Spark job** over the distinct
   * proposed vertices ([[SparkBrandes.dependenciesOnTarget]]); the O(T)
-  * accept/reject walk then runs on the driver. The local and Spark paths are
-  * bit-for-bit identical for the same seed.
+  * accept/reject walk then runs on the driver.
+  *
+  * Each evaluation is the cone sweep of [[LocalBrandes.Workspace]]: the
+  * chain needs only the scalar δ_{v•}(r), and by Eq. 4 that depends only on
+  * r's descendants in v's shortest-path DAG, so the kernel accumulates over
+  * those only and ends its BFS at the first level past r that holds none of
+  * them. It makes the same additions
+  * in the same order as the full sweep, so its result has the same bits as
+  * `LocalBrandes.dependency(g, v)(r)`. The local path runs the same kernel
+  * through one workspace for the whole chain, so the local and Spark paths
+  * are bit-for-bit identical for the same seed.
   */
 object MHSingle {
 
   /** Draw the initial state and the T uniform proposals for a given seed. */
   def drawProposals(n: Int, T: Int, seed: Long): (Int, Array[Int]) = {
+    require(T >= 0, s"chain length T = $T must be >= 0")
     val rnd = new Random(seed)
     val v0 = rnd.nextInt(n)
     (v0, Array.fill(T)(rnd.nextInt(n)))
@@ -110,14 +120,17 @@ object MHSingle {
     Chain(r, n, seed, states, proposals, accepted, deltas.toMap)
   }
 
-  /** Run fully locally (memoized exact dependency kernel). */
+  /** Run fully locally: memoized cone sweeps through one workspace. */
   def run(g: CSRGraph, r: Int, T: Int, seed: Long): Chain = {
+    g.requireVertex(r, "target r")
     val (v0, props) = drawProposals(g.n, T, seed)
-    walk(r, g.n, seed, v0, props, v => LocalBrandes.dependencyOn(g, v, r))
+    val ws = new LocalBrandes.Workspace(g.n)
+    walk(r, g.n, seed, v0, props, v => ws.dependencyOn(g, v, r))
   }
 
   /** Run with the dependency evaluations distributed over Spark. */
   def runSpark(spark: SparkSession, g: CSRGraph, r: Int, T: Int, seed: Long): Chain = {
+    g.requireVertex(r, "target r")
     val (v0, props) = drawProposals(g.n, T, seed)
     val deltas = SparkBrandes.dependenciesOnTarget(spark, g, v0 +: props.toSeq, r)
     walk(r, g.n, seed, v0, props, deltas)

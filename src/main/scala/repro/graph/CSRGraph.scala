@@ -17,6 +17,10 @@ final class CSRGraph private (val n: Int, val offsets: Array[Int], val neighbors
 
   def degree(v: Int): Int = offsets(v + 1) - offsets(v)
 
+  /** Throws `IllegalArgumentException` naming `role`, v and n unless v ∈ [0, n). */
+  def requireVertex(v: Int, role: String): Unit =
+    require(v >= 0 && v < n, s"$role = $v is not a vertex: n = $n")
+
   def maxDegree: Int = (0 until n).map(degree).max
 
   /** Iterate v's neighbours without allocating. */

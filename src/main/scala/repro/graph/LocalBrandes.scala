@@ -2,13 +2,200 @@ package repro.graph
 
 /** Exact Brandes machinery on a local CSR graph.
   *
-  * This is the ground-truth reference for every sampler: one `dependency`
-  * call is the O(|E|) per-sample kernel of the paper (§4.1 — "it can be done
-  * in O(|E(G)|) time for unweighted graphs"), and `bc` sums dependencies over
-  * all sources (Eq. 3, ordered-pair convention: each unordered pair {s,t}
-  * contributes twice, once per direction).
+  * There is one kernel, [[LocalBrandes.Workspace]], with two sweeps:
+  *
+  *  - the **full sweep** (`Workspace.sweep`, and `dependency` on a fresh
+  *    workspace) is the O(|E|) per-sample kernel of the paper (§4.1 — "it can
+  *    be done in O(|E(G)|) time for unweighted graphs"): it yields δ_{s•}(v)
+  *    for every v at once, which is what `bc` (Eq. 3) and the joint-space
+  *    sampler (§4.3) need;
+  *  - the **cone sweep** (`Workspace.dependencyOn`) yields the one scalar
+  *    δ_{s•}(r) that the single-space acceptance ratio (Eq. 6) needs, and
+  *    touches only r's cone (see `Workspace`).
+  *
+  * `dependency` and the 3-argument `dependencyOn` stay the full-sweep
+  * reference that tests and benchmarks check the cone sweep against. BC uses
+  * the ordered-pair convention: each unordered pair {s,t} contributes twice,
+  * once per direction.
   */
 object LocalBrandes {
+
+  /** Reusable per-thread buffers for the Brandes kernel on graphs of at most
+    * `n` vertices: `dist`, `sigma`, BFS `order`, `delta` and a cone mark. A
+    * call writes only the vertices its BFS reaches and resets exactly those
+    * before it returns, so a call costs O(what it visits), not O(n), and no
+    * call allocates. Not thread-safe: use one workspace per thread, e.g. one
+    * per Spark partition.
+    *
+    * '''The cone.''' By the Brandes recursion (Eq. 4),
+    * δ_{s•}(v) = Σ_{w : v ∈ P_s(w)} σ_{sv}/σ_{sw} · (1 + δ_{s•}(w)), so δ_{s•}(r)
+    * depends only on σ, and δ of r's successors, their successors, and so on:
+    * on r's cone, the descendants of r in s's shortest-path DAG (r included).
+    * The forward BFS marks r and every vertex with a marked predecessor, and
+    * stops at the first level past dist(r) with no marked vertex, since no
+    * deeper vertex can be marked. The backward sweep then runs from the BFS
+    * tail down to r's successors over marked vertices only, adding only into
+    * marked predecessors.
+    *
+    * '''Same bits as the full sweep.''' Both sweeps run the same BFS, so σ and
+    * the visiting order agree on every vertex the cone sweep reaches. Every
+    * addition the full sweep makes into a cone vertex v comes from a DAG
+    * successor of v, which is itself in the cone, and the cone sweep makes
+    * these additions in the same reverse-BFS order with the same operands. So
+    * `dependencyOn(g, s, r) == dependency(g, s)(r)` exactly, not just to
+    * rounding.
+    */
+  final class Workspace(val n: Int) {
+    private[graph] val dist: Array[Int] = Array.fill(n)(-1)
+    private[graph] val sigma = new Array[Double](n)
+    private[graph] val order = new Array[Int](n)
+    private[graph] val delta = new Array[Double](n)
+    private val cone = new Array[Boolean](n)
+    /** Number of entries of `order` the current call has filled. */
+    private[graph] var tail = 0
+
+    /** δ_{s•}(r) by the cone sweep; 0 when s == r or r is unreachable from s.
+      * Throws `IllegalArgumentException` on a vertex outside the graph and
+      * `ArithmeticException` when the result is not finite (σ overflow).
+      */
+    def dependencyOn(g: CSRGraph, s: Int, r: Int): Double = {
+      checkGraph(g); g.requireVertex(s, "source s"); g.requireVertex(r, "target r")
+      if (s == r) return 0.0
+      val d =
+        try {
+          val pos = forward(g, s, r)
+          if (pos < 0) 0.0 else { backward(g, pos + 1, coneOnly = true); delta(r) }
+        } finally clear()
+      requireFinite(s, r, d)
+    }
+
+    /** δ_{s•}(x) for each x in `targets`, by one full sweep; the same checks
+      * as the cone sweep.
+      */
+    def dependenciesOn(g: CSRGraph, s: Int, targets: Array[Int]): Array[Double] = {
+      targets.foreach(g.requireVertex(_, "target r"))
+      val row = sweep(g, s)(d => targets.map(d(_)))
+      var k = 0
+      while (k < row.length) { requireFinite(s, targets(k), row(k)); k += 1 }
+      row
+    }
+
+    /** Full sweep from `s`: `read` sees δ_{s•}(v) for every vertex v (0 where
+      * unreachable, and δ_{s•}(s) = 0). The array is the workspace's own and is
+      * valid only inside `read`.
+      */
+    def sweep[A](g: CSRGraph, s: Int)(read: Array[Double] => A): A = {
+      checkGraph(g); g.requireVertex(s, "source s")
+      try { fullSweep(g, s); read(delta) } finally clear()
+    }
+
+    /** Full sweep that leaves its result in the buffers. */
+    private[graph] def fullSweep(g: CSRGraph, s: Int): Unit = {
+      forward(g, s, -1)
+      backward(g, 0, coneOnly = false)
+      delta(s) = 0.0
+    }
+
+    private def checkGraph(g: CSRGraph): Unit =
+      require(g.n <= n, s"workspace for $n vertices cannot serve a graph with n = ${g.n}")
+
+    /** BFS from `s` filling `dist`, `sigma` and `order`. With a target r ≥ 0
+      * it also marks r's cone and stops once a level past dist(r) has no
+      * marked vertex; it returns r's position in `order`, or −1 if the BFS
+      * never reached r.
+      */
+    private[graph] def forward(g: CSRGraph, s: Int, r: Int): Int = {
+      val off = g.offsets; val nbr = g.neighbors
+      dist(s) = 0; sigma(s) = 1.0
+      order(0) = s; tail = 1
+      var head = 0
+      var levelEnd = 1   // end in `order` of the level being expanded
+      var marked = 0     // marked vertices found so far in the next level
+      var rPos = -1
+      var stop = false
+      while (head < tail && !stop) {
+        if (head == levelEnd) {
+          // The level starting here is complete, and so are its marks.
+          if (rPos >= 0 && marked == 0) stop = true
+          levelEnd = tail; marked = 0
+        }
+        if (!stop) {
+          val v = order(head); head += 1
+          val dw = dist(v) + 1
+          val sv = sigma(v)
+          val mv = cone(v)
+          var k = off(v); val end = off(v + 1)
+          while (k < end) {
+            val w = nbr(k)
+            if (dist(w) < 0) {
+              dist(w) = dw; order(tail) = w
+              if (w == r) { cone(w) = true; rPos = tail; marked += 1 }
+              tail += 1
+            }
+            if (dist(w) == dw) {
+              sigma(w) += sv
+              if (mv && !cone(w)) { cone(w) = true; marked += 1 }
+            }
+            k += 1
+          }
+        }
+      }
+      rPos
+    }
+
+    /** Brandes accumulation over `order` from the BFS tail down to position
+      * `from`; with `coneOnly` it visits and adds into marked vertices only.
+      */
+    private def backward(g: CSRGraph, from: Int, coneOnly: Boolean): Unit = {
+      val off = g.offsets; val nbr = g.neighbors
+      var i = tail - 1
+      while (i >= from) {
+        val w = order(i); i -= 1
+        if (!coneOnly || cone(w)) {
+          val coef = (1.0 + delta(w)) / sigma(w)
+          val dv = dist(w) - 1
+          var k = off(w); val end = off(w + 1)
+          while (k < end) {
+            val v = nbr(k)
+            if (dist(v) == dv && (!coneOnly || cone(v))) delta(v) += sigma(v) * coef
+            k += 1
+          }
+        }
+      }
+    }
+
+    /** Reset every vertex the last call reached. */
+    private def clear(): Unit = {
+      var i = 0
+      while (i < tail) {
+        val v = order(i)
+        dist(v) = -1; sigma(v) = 0.0; delta(v) = 0.0; cone(v) = false
+        i += 1
+      }
+      tail = 0
+    }
+  }
+
+  /** Returns δ_{s•}(r) = `d`, or throws `ArithmeticException` naming (s, r)
+    * if it is not finite.
+    */
+  private def requireFinite(s: Int, r: Int, d: Double): Double =
+    if (java.lang.Double.isFinite(d)) d
+    else throw new ArithmeticException(
+      s"delta_$s($r) = $d is not finite: shortest-path counts overflow a Double")
+
+  /** Throws `ArithmeticException` naming `what` and the first vertex whose
+    * value is not finite.
+    */
+  private def requireFinite(values: Array[Double], what: => String): Unit = {
+    var v = 0
+    while (v < values.length) {
+      if (!java.lang.Double.isFinite(values(v)))
+        throw new ArithmeticException(
+          s"$what($v) = ${values(v)} is not finite: shortest-path counts overflow a Double")
+      v += 1
+    }
+  }
 
   /** Single-source shortest-path DAG (SPD) for unweighted graphs.
     *
@@ -17,64 +204,58 @@ object LocalBrandes {
     *   shortest-path counts σ_{s·}, and vertices in BFS visitation order.
     */
   def spd(g: CSRGraph, s: Int): (Array[Int], Array[Double], Array[Int]) = {
-    val dist = Array.fill(g.n)(-1)
-    val sigma = new Array[Double](g.n)
-    val order = new Array[Int](g.n)
-    var head = 0; var tail = 0
-    dist(s) = 0; sigma(s) = 1.0
-    order(tail) = s; tail += 1
-    while (head < tail) {
-      val v = order(head); head += 1
-      val dv = dist(v)
-      g.foreachNeighbor(v) { w =>
-        if (dist(w) < 0) { dist(w) = dv + 1; order(tail) = w; tail += 1 }
-        if (dist(w) == dv + 1) sigma(w) += sigma(v)
-      }
-    }
-    (dist, sigma, java.util.Arrays.copyOf(order, tail))
+    g.requireVertex(s, "source s")
+    val ws = new Workspace(g.n)
+    ws.forward(g, s, -1)
+    (ws.dist, ws.sigma, java.util.Arrays.copyOf(ws.order, ws.tail))
   }
 
-  /** Dependency scores δ_{s•}(v) of source `s` on every vertex v (Eq. 2/4).
-    * δ_{s•}(s) is 0 by definition.
+  /** Dependency scores δ_{s•}(v) of source `s` on every vertex v (Eq. 2/4),
+    * by the full sweep on a fresh workspace. δ_{s•}(s) is 0 by definition.
+    * Throws `ArithmeticException` if any score is not finite.
     */
   def dependency(g: CSRGraph, s: Int): Array[Double] = {
-    val (dist, sigma, order) = spd(g, s)
-    val delta = new Array[Double](g.n)
-    var i = order.length - 1
-    while (i >= 0) {
-      val w = order(i); i -= 1
-      val coef = (1.0 + delta(w)) / sigma(w)
-      val dw = dist(w)
-      g.foreachNeighbor(w) { v =>
-        if (dist(v) == dw - 1) delta(v) += sigma(v) * coef
-      }
-    }
-    delta(s) = 0.0
-    delta
+    g.requireVertex(s, "source s")
+    val ws = new Workspace(g.n)
+    ws.fullSweep(g, s)
+    requireFinite(ws.delta, s"delta_$s")
+    ws.delta
   }
 
-  /** δ_{v•}(r): the quantity the MH acceptance ratio (Eq. 6/17) is built on. */
+  /** δ_{v•}(r): the quantity the MH acceptance ratio (Eq. 6/17) is built on,
+    * read off the full sweep. This is the reference the cone sweep
+    * `Workspace.dependencyOn` is checked against.
+    */
   def dependencyOn(g: CSRGraph, v: Int, r: Int): Double =
     if (v == r) 0.0 else dependency(g, v)(r)
 
-  /** Exact betweenness of every vertex, BC(v) = Σ_s δ_{s•}(v) (Eq. 3). */
-  def bc(g: CSRGraph): Array[Double] = {
+  /** Adds δ_{s•}(·) into `acc` for every source in `sources`, through one
+    * workspace, and checks that the sums are finite.
+    */
+  private[graph] def accumulate(g: CSRGraph, sources: Iterator[Int]): Array[Double] = {
     val acc = new Array[Double](g.n)
-    var s = 0
-    while (s < g.n) {
-      val d = dependency(g, s)
-      var v = 0
-      while (v < g.n) { acc(v) += d(v); v += 1 }
-      s += 1
+    val ws = new Workspace(g.n)
+    sources.foreach { s =>
+      ws.sweep(g, s) { d =>
+        var v = 0
+        while (v < g.n) { acc(v) += d(v); v += 1 }
+      }
     }
+    requireFinite(acc, "betweenness partial sum BC")
     acc
   }
 
-  /** All-sources dependency column for one target r: δ_{v•}(r) for every v.
-    * Column sum is BC(r). Used to compute exact π_r (Eq. 5) in tests/benches.
+  /** Exact betweenness of every vertex, BC(v) = Σ_s δ_{s•}(v) (Eq. 3). */
+  def bc(g: CSRGraph): Array[Double] = accumulate(g, Iterator.range(0, g.n))
+
+  /** All-sources dependency column for one target r: δ_{v•}(r) for every v,
+    * by the cone sweep through one workspace. Column sum is BC(r). Used to
+    * compute exact π_r (Eq. 5) in tests/benches.
     */
-  def dependencyColumn(g: CSRGraph, r: Int): Array[Double] =
-    Array.tabulate(g.n)(v => dependencyOn(g, v, r))
+  def dependencyColumn(g: CSRGraph, r: Int): Array[Double] = {
+    val ws = new Workspace(g.n)
+    Array.tabulate(g.n)(v => ws.dependencyOn(g, v, r))
+  }
 
   /** Eccentricity-based diameter (exact, all-sources BFS). */
   def diameter(g: CSRGraph): Int =

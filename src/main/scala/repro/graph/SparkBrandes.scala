@@ -5,17 +5,24 @@ import org.apache.spark.sql.SparkSession
 /** Source-parallel exact Brandes on Spark (RDD layer).
   *
   * The graph (a pair of primitive arrays) is broadcast once; sources are an
-  * RDD and each task runs the O(|E|) BFS + accumulation kernel locally. This
-  * is the standard way Brandes scales out (the graph fits on every executor;
-  * the |V|-way source loop is what is parallelized), and it is also exactly
-  * the shape of the paper's sampler workload: every MH proposal needs one
+  * RDD and each partition runs the local kernel through one
+  * [[LocalBrandes.Workspace]], so no source allocates buffers. This is the
+  * standard way Brandes scales out (the graph fits on every executor; the
+  * |V|-way source loop is what is parallelized), and it is also exactly the
+  * shape of the paper's sampler workload: every MH proposal needs one
   * dependency evaluation, and proposals of an *independence* sampler are iid,
   * so a whole chain's worth of them is evaluated as one Spark job.
+  *
+  * A job that needs one target per source (`dependenciesOnTarget`) runs the
+  * cone sweep, which visits only the target's descendants in each source's
+  * shortest-path DAG; jobs that need several or all targets (`bc`,
+  * `dependenciesOnTargets`) run the full sweep. Both give the same bits as
+  * `LocalBrandes.dependency`.
   */
 object SparkBrandes {
 
   /** Exact BC of every vertex: Σ over sources of the dependency vector,
-    * reduced as dense arrays.
+    * reduced as dense arrays. Throws if a partition's sum is not finite.
     */
   def bc(spark: SparkSession, g: CSRGraph, numPartitions: Int = 0): Array[Double] = {
     val sc = spark.sparkContext
@@ -23,16 +30,7 @@ object SparkBrandes {
     val bg = sc.broadcast(g)
     val out = sc
       .parallelize(0 until g.n, math.min(parts, g.n))
-      .mapPartitions { sources =>
-        val graph = bg.value
-        val acc = new Array[Double](graph.n)
-        sources.foreach { s =>
-          val d = LocalBrandes.dependency(graph, s)
-          var v = 0
-          while (v < graph.n) { acc(v) += d(v); v += 1 }
-        }
-        Iterator.single(acc)
-      }
+      .mapPartitions(sources => Iterator.single(LocalBrandes.accumulate(bg.value, sources)))
       .treeReduce { (a, b) =>
         var i = 0
         while (i < a.length) { a(i) += b(i); i += 1 }
@@ -42,8 +40,9 @@ object SparkBrandes {
     out
   }
 
-  /** δ_{v•}(r) for each source v in `sources`, as one distributed job.
-    * Duplicate sources are deduplicated before shipping.
+  /** δ_{v•}(r) for each source v in `sources`, as one distributed job of
+    * cone sweeps, one workspace per partition. Duplicate sources are
+    * deduplicated before shipping.
     */
   def dependenciesOnTarget(
       spark: SparkSession,
@@ -51,6 +50,7 @@ object SparkBrandes {
       sources: Seq[Int],
       r: Int,
       numPartitions: Int = 0): Map[Int, Double] = {
+    g.requireVertex(r, "target r")
     val sc = spark.sparkContext
     val distinct = sources.distinct
     val parts = math.max(1, math.min(
@@ -58,7 +58,11 @@ object SparkBrandes {
     val bg = sc.broadcast(g)
     val out = sc
       .parallelize(distinct, parts)
-      .map { v => v -> (if (v == r) 0.0 else LocalBrandes.dependency(bg.value, v)(r)) }
+      .mapPartitions { vs =>
+        val graph = bg.value
+        val ws = new LocalBrandes.Workspace(graph.n)
+        vs.map(v => v -> ws.dependencyOn(graph, v, r))
+      }
       .collect()
       .toMap
     bg.destroy()
@@ -66,7 +70,7 @@ object SparkBrandes {
   }
 
   /** For each source v in `sources`, the restriction of its dependency vector
-    * to `targets` — one Brandes pass per source yields δ_{v•}(x) for *all* x
+    * to `targets` — one full sweep per source yields δ_{v•}(x) for *all* x
     * simultaneously, so the joint-space sampler (which needs δ_{v•}(r) for
     * every r ∈ R) costs the same per sample as the single-space one.
     */
@@ -76,6 +80,7 @@ object SparkBrandes {
       sources: Seq[Int],
       targets: Array[Int],
       numPartitions: Int = 0): Map[Int, Array[Double]] = {
+    targets.foreach(g.requireVertex(_, "target r"))  // on the driver, before the job
     val sc = spark.sparkContext
     val distinct = sources.distinct
     val parts = math.max(1, math.min(
@@ -84,9 +89,10 @@ object SparkBrandes {
     val bt = sc.broadcast(targets)
     val out = sc
       .parallelize(distinct, parts)
-      .map { v =>
-        val d = LocalBrandes.dependency(bg.value, v)
-        v -> bt.value.map(r => if (v == r) 0.0 else d(r))
+      .mapPartitions { vs =>
+        val graph = bg.value
+        val ws = new LocalBrandes.Workspace(graph.n)
+        vs.map(v => v -> ws.dependenciesOn(graph, v, bt.value))
       }
       .collect()
       .toMap

@@ -126,4 +126,28 @@ class MHJointSpec extends SparkSpec {
     assert(a.acceptanceRate == b.acceptanceRate)
     assert(a.acceptanceRate > 0.0 && a.acceptanceRate <= 1.0)
   }
+
+  test("run and runSpark reject an empty probe set") {
+    intercept[IllegalArgumentException](MHJoint.run(karate, Array.empty[Int], 10, 1L))
+    intercept[IllegalArgumentException](MHJoint.runSpark(spark, karate, Array.empty[Int], 10, 1L))
+  }
+
+  test("run and runSpark reject duplicate probes") {
+    val e = intercept[IllegalArgumentException](MHJoint.run(karate, Array(0, 33, 0), 10, 1L))
+    assert(e.getMessage.contains("duplicate"))
+    intercept[IllegalArgumentException](MHJoint.runSpark(spark, karate, Array(0, 33, 0), 10, 1L))
+  }
+
+  test("run and runSpark reject a probe outside [0, n), naming it and n") {
+    for (r <- Seq(-1, karate.n)) {
+      val e = intercept[IllegalArgumentException](MHJoint.run(karate, Array(0, r), 10, 1L))
+      assert(e.getMessage.contains(s"probe r = $r") && e.getMessage.contains(s"n = ${karate.n}"))
+      intercept[IllegalArgumentException](MHJoint.runSpark(spark, karate, Array(0, r), 10, 1L))
+    }
+  }
+
+  test("run and runSpark reject a negative chain length") {
+    intercept[IllegalArgumentException](MHJoint.run(karate, Array(0, 33), -1, 1L))
+    intercept[IllegalArgumentException](MHJoint.runSpark(spark, karate, Array(0, 33), -1, 1L))
+  }
 }

@@ -147,18 +147,19 @@ class MHSingleSpec extends SparkSpec {
     assert(chain.estimateEq7 == 0.0)
   }
 
-  test("Dependency.batch local path matches Spark path") {
-    val sources = Seq.tabulate(100)(i => i % karate.n)
-    val local = Dependency.batch(None, karate, sources, 0)
-    val viaSpark = Dependency.batch(Some(spark), karate, sources, 0)
-    assert(local == viaSpark)
+  test("run and runSpark reject a target outside [0, n), naming it and n") {
+    for (r <- Seq(-1, karate.n)) {
+      val loc = intercept[IllegalArgumentException](MHSingle.run(karate, r, 10, 1L))
+      assert(loc.getMessage.contains(s"target r = $r") && loc.getMessage.contains(s"n = ${karate.n}"))
+      val spk = intercept[IllegalArgumentException](MHSingle.runSpark(spark, karate, r, 10, 1L))
+      assert(spk.getMessage.contains(s"target r = $r") && spk.getMessage.contains(s"n = ${karate.n}"))
+    }
   }
 
-  test("Dependency.Cache memoizes") {
-    val cache = new Dependency.Cache(karate, 0)
-    val a = cache(5); val b = cache(5)
-    assert(a == b && cache.evaluated == 1)
-    cache(6)
-    assert(cache.evaluated == 2)
+  test("run and runSpark reject a negative chain length; T = 0 is a one-state chain") {
+    intercept[IllegalArgumentException](MHSingle.run(karate, 0, -1, 1L))
+    intercept[IllegalArgumentException](MHSingle.runSpark(spark, karate, 0, -1, 1L))
+    val c = MHSingle.run(karate, 0, 0, 1L)
+    assert(c.states.length == 1 && c.T == 0)
   }
 }
