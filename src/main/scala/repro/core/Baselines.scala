@@ -24,11 +24,15 @@ object Baselines {
   }
 
   /** Distance-proportional sampler of [Chehreghani 2014]:
-    * P[v] = d(r,v) / Σ_u d(r,u); estimator δ_{v•}(r)/P[v], unbiased.
+    * P[v] = d(r,v) / Σ_u d(r,u); estimator δ_{v•}(r)/P[v], unbiased. Defined
+    * on connected graphs only: throws `IllegalArgumentException` otherwise.
     */
   def distanceEstimate(g: CSRGraph, r: Int, k: Int, seed: Long): Double = {
     require(k > 0)
     val (dist, _, _) = LocalBrandes.spd(g, r)
+    require(!dist.contains(-1),
+      s"distance sampler needs a connected graph: the graph is disconnected (no path from r = $r to " +
+        s"${dist.count(_ < 0)} of ${g.n} vertices)")
     val w = dist.map(_.toDouble)
     val total = w.sum
     require(total > 0, "distance sampler undefined on a single-vertex graph")
@@ -51,10 +55,13 @@ object Baselines {
   /** Riondato–Kornaropoulos shortest-path sampler: draw (s,t) uniformly among
     * ordered pairs s ≠ t, draw one shortest s-t path uniformly by walking
     * predecessors backward with probability σ_{s,pred}/Σ σ, count whether r
-    * is interior. E[|V|(|V|−1) · 1{r interior}] = BC(r).
+    * is interior. E[|V|(|V|−1) · 1{r interior}] = BC(r). Defined on
+    * connected graphs only: throws `IllegalArgumentException` otherwise.
     */
   def rkEstimate(g: CSRGraph, r: Int, k: Int, seed: Long): Double = {
     require(k > 0 && g.n >= 2)
+    require(g.isConnected,
+      "path sampler needs a connected graph: the graph is disconnected, so some pairs have no path")
     val rnd = new Random(seed)
     var hits = 0
     for (_ <- 1 to k) {

@@ -68,15 +68,21 @@ final case class Chain(
   * proposed vertices ([[SparkBrandes.dependenciesOnTarget]]); the O(T)
   * accept/reject walk then runs on the driver.
   *
-  * Each evaluation is the cone sweep of [[LocalBrandes.Workspace]]: the
-  * chain needs only the scalar δ_{v•}(r), and by Eq. 4 that depends only on
-  * r's descendants in v's shortest-path DAG, so the kernel accumulates over
-  * those only and ends its BFS at the first level past r that holds none of
-  * them. It makes the same additions
-  * in the same order as the full sweep, so its result has the same bits as
-  * `LocalBrandes.dependency(g, v)(r)`. The local path runs the same kernel
-  * through one workspace for the whole chain, so the local and Spark paths
-  * are bit-for-bit identical for the same seed.
+  * The chain needs only the scalar δ_{v•}(r), and two exact rules of
+  * [[LocalBrandes.Workspace]] cut its cost:
+  *  - the **support test** runs once per chain, before any sweep: one BFS
+  *    from r and a DP over N(r) find the proposals v in whose shortest-path
+  *    DAG r has no successor, so δ_{v•}(r) = 0; those get 0.0, which is
+  *    exactly what the cone sweep returns for them;
+  *  - every other proposal runs the **cone sweep**: by Eq. 4, δ_{v•}(r)
+  *    depends only on r's descendants in v's shortest-path DAG, so the
+  *    kernel accumulates over those only and ends its BFS at the first level
+  *    whose descendants of r have no successor. It makes the same additions
+  *    in the same order as the full sweep, so its result has the same bits
+  *    as `LocalBrandes.dependency(g, v)(r)`.
+  * The local path runs the same test and kernel through one workspace for
+  * the whole chain, so the local and Spark paths are bit-for-bit identical
+  * for the same seed.
   */
 object MHSingle {
 
@@ -120,12 +126,15 @@ object MHSingle {
     Chain(r, n, seed, states, proposals, accepted, deltas.toMap)
   }
 
-  /** Run fully locally: memoized cone sweeps through one workspace. */
+  /** Run fully locally: the support test and cone sweeps over the distinct
+    * proposed vertices, through one workspace.
+    */
   def run(g: CSRGraph, r: Int, T: Int, seed: Long): Chain = {
     g.requireVertex(r, "target r")
     val (v0, props) = drawProposals(g.n, T, seed)
-    val ws = new LocalBrandes.Workspace(g.n)
-    walk(r, g.n, seed, v0, props, v => ws.dependencyOn(g, v, r))
+    val sources = (v0 +: props).distinct
+    val deltas = new LocalBrandes.Workspace(g.n).dependenciesOnTarget(g, sources, r)
+    walk(r, g.n, seed, v0, props, sources.zip(deltas).toMap)
   }
 
   /** Run with the dependency evaluations distributed over Spark. */

@@ -13,6 +13,11 @@ package repro.graph
   *    δ_{s•}(r) that the single-space acceptance ratio (Eq. 6) needs, and
   *    touches only r's cone (see `Workspace`).
   *
+  * A caller that needs δ_{s•}(r) for many sources and one r
+  * (`Workspace.dependenciesOnTarget`) first runs the **support test**
+  * (`Workspace.needsSweep`), which proves δ_{s•}(r) = 0 for many sources at
+  * the cost of a few BFS passes, and runs the cone sweep only for the rest.
+  *
   * `dependency` and the 3-argument `dependencyOn` stay the full-sweep
   * reference that tests and benchmarks check the cone sweep against. BC uses
   * the ordered-pair convention: each unordered pair {s,t} contributes twice,
@@ -24,18 +29,22 @@ object LocalBrandes {
     * `n` vertices: `dist`, `sigma`, BFS `order`, `delta` and a cone mark. A
     * call writes only the vertices its BFS reaches and resets exactly those
     * before it returns, so a call costs O(what it visits), not O(n), and no
-    * call allocates. Not thread-safe: use one workspace per thread, e.g. one
-    * per Spark partition.
+    * sweep allocates (the support test allocates its result, and its two
+    * bit arrays once per workspace). Not thread-safe: use one workspace per
+    * thread, e.g. one per Spark partition.
     *
     * '''The cone.''' By the Brandes recursion (Eq. 4),
     * δ_{s•}(v) = Σ_{w : v ∈ P_s(w)} σ_{sv}/σ_{sw} · (1 + δ_{s•}(w)), so δ_{s•}(r)
     * depends only on σ, and δ of r's successors, their successors, and so on:
     * on r's cone, the descendants of r in s's shortest-path DAG (r included).
-    * The forward BFS marks r and every vertex with a marked predecessor, and
-    * stops at the first level past dist(r) with no marked vertex, since no
-    * deeper vertex can be marked. The backward sweep then runs from the BFS
-    * tail down to r's successors over marked vertices only, adding only into
-    * marked predecessors.
+    * The forward BFS marks r and every vertex with a marked predecessor. It
+    * stops at the start of the first level L ≥ dist(r) whose marked vertices
+    * have no successor, before expanding L: at that point every vertex of a
+    * level ≤ L has been discovered, so a vertex of level L has a successor
+    * exactly when it has a neighbour with `dist < 0`, and no vertex past L
+    * can be marked. The backward sweep then runs from the BFS tail down to
+    * r's successors over marked vertices only, adding only into marked
+    * predecessors.
     *
     * '''Same bits as the full sweep.''' Both sweeps run the same BFS, so σ and
     * the visiting order agree on every vertex the cone sweep reaches. Every
@@ -43,7 +52,10 @@ object LocalBrandes {
     * successor of v, which is itself in the cone, and the cone sweep makes
     * these additions in the same reverse-BFS order with the same operands. So
     * `dependencyOn(g, s, r) == dependency(g, s)(r)` exactly, not just to
-    * rounding.
+    * rounding. Stopping the BFS before level L + 1 drops only unmarked
+    * vertices from the tail of `order`, which the backward sweep skips
+    * anyway, so the stop leaves the prefix of `order`, σ and every addition
+    * as they are.
     */
   final class Workspace(val n: Int) {
     private[graph] val dist: Array[Int] = Array.fill(n)(-1)
@@ -67,6 +79,101 @@ object LocalBrandes {
           if (pos < 0) 0.0 else { backward(g, pos + 1, coneOnly = true); delta(r) }
         } finally clear()
       requireFinite(s, r, d)
+    }
+
+    /** δ_{s•}(r) for each s in `sources`: the support test (`needsSweep`),
+      * then one cone sweep for each source it did not rule out; a ruled-out
+      * source gets 0.0. Has the bits of `dependencyOn` called per source.
+      */
+    def dependenciesOnTarget(g: CSRGraph, sources: Array[Int], r: Int): Array[Double] = {
+      val live = needsSweep(g, r, sources)
+      Array.tabulate(sources.length)(i => if (live(i)) dependencyOn(g, sources(i), r) else 0.0)
+    }
+
+    /** The support test for target `r`: for each s in `sources`, false only
+      * when δ_{s•}(r) = 0 is proven, in which case the cone sweep would return
+      * exactly 0.0 as well (no addition ever reaches `delta(r)`). True means
+      * "run the cone sweep": δ_{s•}(r) > 0, or the test stopped before it
+      * could rule s out. When it runs to the end, true ⟺ δ_{s•}(r) > 0.
+      *
+      * δ_{s•}(r) > 0 exactly when r has a successor in s's shortest-path DAG:
+      * some w ∈ N(r) with d(s,w) = d(s,r) + 1. One BFS from r and a DP over
+      * its levels decide this for every s at once. With
+      * S(s) = {w ∈ N(r) : d(w,s) = d(r,s) + 1} and T(s) = {w ∈ N(r) : d(w,s) ≥ d(r,s)},
+      * S(r) = T(r) = N(r), and for s at r-level ℓ ≥ 1, since d(w,y) ≥ d(r,y) − 1
+      * for every y:
+      *  - T(s) = ⋂_{pred x} T(x) \ {s},
+      *  - S(s) = ⋂_{pred x} S(x) ∩ ⋂_{same-level x} T(x) \ {s},
+      * and δ_{s•}(r) > 0 ⟺ S(s) ≠ ∅. A source unreachable from r, and r
+      * itself, has δ = 0. N(r) is processed in batches of 64 neighbours, one
+      * `Long` of S and one of T per vertex, so memory is O(n) for any deg(r);
+      * each batch costs one pass over the arcs of r's component, about one BFS.
+      * The test stops once no requested source is undecided, and also once
+      * no more are undecided than batches remain: those sources run the cone
+      * sweep, which costs no more than the batches that could rule them out.
+      */
+    def needsSweep(g: CSRGraph, r: Int, sources: Array[Int]): Array[Boolean] = {
+      checkGraph(g); g.requireVertex(r, "target r")
+      sources.foreach(g.requireVertex(_, "source s"))
+      try {
+        forward(g, r, -1) // dist(v) = d(r, v); `order` lists r's component level by level
+        // `cone` marks the requested sources not yet shown to have δ > 0.
+        var undecided = 0
+        sources.foreach { s =>
+          if (s != r && dist(s) >= 0 && !cone(s)) { cone(s) = true; undecided += 1 }
+        }
+        val first = g.offsets(r)
+        val deg = g.degree(r)
+        val batches = (deg + 63) / 64
+        var b = 0
+        while (b < batches && undecided > batches - b) {
+          undecided = supportBatch(g, first + 64 * b, math.min(64, deg - 64 * b), undecided)
+          b += 1
+        }
+        val complete = b == batches
+        sources.map(s => s != r && dist(s) >= 0 && !(complete && cone(s)))
+      } finally clear()
+    }
+
+    private lazy val sBits = new Array[Long](n)
+    private lazy val tBits = new Array[Long](n)
+
+    /** One batch of the support test over the `cnt` neighbours of r at
+      * `neighbors(first until first + cnt)`; bit j stands for the j-th. Unmarks
+      * each marked source whose S is non-empty and returns how many marked
+      * sources remain.
+      */
+    private def supportBatch(g: CSRGraph, first: Int, cnt: Int, undecided: Int): Int = {
+      val off = g.offsets; val nbr = g.neighbors
+      val sb = sBits; val tb = tBits
+      val all = if (cnt == 64) -1L else (1L << cnt) - 1
+      var i = 0
+      while (i < tail) { val v = order(i); sb(v) = all; tb(v) = all; i += 1 }
+      var j = 0
+      while (j < cnt) { val w = nbr(first + j); sb(w) &= ~(1L << j); tb(w) &= ~(1L << j); j += 1 }
+      // In BFS order, T(x) is final once the level before x's is done, and the
+      // pass pushes it into x's next-level neighbours; S(x) pulls from x's
+      // predecessors and same-level neighbours, which are final by then.
+      var left = undecided
+      i = 1
+      while (i < tail && left > 0) {
+        val x = order(i); i += 1
+        val lx = dist(x)
+        val tx = tb(x)
+        var sx = sb(x)
+        var k = off(x); val end = off(x + 1)
+        while (k < end) {
+          val y = nbr(k)
+          val ly = dist(y)
+          if (ly < lx) sx &= sb(y)
+          else if (ly == lx) sx &= tb(y)
+          else tb(y) &= tx
+          k += 1
+        }
+        sb(x) = sx
+        if (sx != 0L && cone(x)) { cone(x) = false; left -= 1 }
+      }
+      left
     }
 
     /** δ_{s•}(x) for each x in `targets`, by one full sweep; the same checks
@@ -100,9 +207,9 @@ object LocalBrandes {
       require(g.n <= n, s"workspace for $n vertices cannot serve a graph with n = ${g.n}")
 
     /** BFS from `s` filling `dist`, `sigma` and `order`. With a target r ≥ 0
-      * it also marks r's cone and stops once a level past dist(r) has no
-      * marked vertex; it returns r's position in `order`, or −1 if the BFS
-      * never reached r.
+      * it also marks r's cone and stops at the first level, from dist(r) on,
+      * whose marked vertices have no successor (see `coneGrows`); it returns
+      * r's position in `order`, or −1 if the BFS never reached r.
       */
     private[graph] def forward(g: CSRGraph, s: Int, r: Int): Int = {
       val off = g.offsets; val nbr = g.neighbors
@@ -110,37 +217,53 @@ object LocalBrandes {
       order(0) = s; tail = 1
       var head = 0
       var levelEnd = 1   // end in `order` of the level being expanded
-      var marked = 0     // marked vertices found so far in the next level
       var rPos = -1
-      var stop = false
-      while (head < tail && !stop) {
+      while (head < tail) {
         if (head == levelEnd) {
           // The level starting here is complete, and so are its marks.
-          if (rPos >= 0 && marked == 0) stop = true
-          levelEnd = tail; marked = 0
+          if (rPos >= 0 && !coneGrows(g, head, tail)) return rPos
+          levelEnd = tail
         }
-        if (!stop) {
-          val v = order(head); head += 1
-          val dw = dist(v) + 1
-          val sv = sigma(v)
-          val mv = cone(v)
-          var k = off(v); val end = off(v + 1)
-          while (k < end) {
-            val w = nbr(k)
-            if (dist(w) < 0) {
-              dist(w) = dw; order(tail) = w
-              if (w == r) { cone(w) = true; rPos = tail; marked += 1 }
-              tail += 1
-            }
-            if (dist(w) == dw) {
-              sigma(w) += sv
-              if (mv && !cone(w)) { cone(w) = true; marked += 1 }
-            }
-            k += 1
+        val v = order(head); head += 1
+        val dw = dist(v) + 1
+        val sv = sigma(v)
+        val mv = cone(v)
+        var k = off(v); val end = off(v + 1)
+        while (k < end) {
+          val w = nbr(k)
+          if (dist(w) < 0) {
+            dist(w) = dw; order(tail) = w
+            if (w == r) { cone(w) = true; rPos = tail }
+            tail += 1
           }
+          if (dist(w) == dw) {
+            sigma(w) += sv
+            if (mv) cone(w) = true
+          }
+          k += 1
         }
       }
       rPos
+    }
+
+    /** Whether a marked vertex of the level `order(from until to)` has a
+      * successor. At the start of a level every vertex of that level or a
+      * shallower one has been discovered, so the successors of a vertex there
+      * are exactly its neighbours with `dist < 0`, and the cone grows past
+      * this level only if one of its marked vertices has such a neighbour.
+      */
+    private def coneGrows(g: CSRGraph, from: Int, to: Int): Boolean = {
+      val off = g.offsets; val nbr = g.neighbors
+      var i = from
+      while (i < to) {
+        val v = order(i)
+        if (cone(v)) {
+          var k = off(v); val end = off(v + 1)
+          while (k < end) { if (dist(nbr(k)) < 0) return true; k += 1 }
+        }
+        i += 1
+      }
+      false
     }
 
     /** Brandes accumulation over `order` from the BFS tail down to position
@@ -249,13 +372,11 @@ object LocalBrandes {
   def bc(g: CSRGraph): Array[Double] = accumulate(g, Iterator.range(0, g.n))
 
   /** All-sources dependency column for one target r: δ_{v•}(r) for every v,
-    * by the cone sweep through one workspace. Column sum is BC(r). Used to
-    * compute exact π_r (Eq. 5) in tests/benches.
+    * by the support test and the cone sweep through one workspace. Column sum
+    * is BC(r). Used to compute exact π_r (Eq. 5) in tests/benches.
     */
-  def dependencyColumn(g: CSRGraph, r: Int): Array[Double] = {
-    val ws = new Workspace(g.n)
-    Array.tabulate(g.n)(v => ws.dependencyOn(g, v, r))
-  }
+  def dependencyColumn(g: CSRGraph, r: Int): Array[Double] =
+    new Workspace(g.n).dependenciesOnTarget(g, Array.range(0, g.n), r)
 
   /** Eccentricity-based diameter (exact, all-sources BFS). */
   def diameter(g: CSRGraph): Int =

@@ -13,11 +13,12 @@ import org.apache.spark.sql.SparkSession
   * dependency evaluation, and proposals of an *independence* sampler are iid,
   * so a whole chain's worth of them is evaluated as one Spark job.
   *
-  * A job that needs one target per source (`dependenciesOnTarget`) runs the
-  * cone sweep, which visits only the target's descendants in each source's
-  * shortest-path DAG; jobs that need several or all targets (`bc`,
-  * `dependenciesOnTargets`) run the full sweep. Both give the same bits as
-  * `LocalBrandes.dependency`.
+  * A job that needs one target per source (`dependenciesOnTarget`) first
+  * drops, on the driver, every source the support test proves has zero
+  * dependency on the target, and runs the cone sweep for the rest, which
+  * visits only the target's descendants in each source's shortest-path DAG;
+  * jobs that need several or all targets (`bc`, `dependenciesOnTargets`) run
+  * the full sweep. Both give the same bits as `LocalBrandes.dependency`.
   */
 object SparkBrandes {
 
@@ -40,9 +41,12 @@ object SparkBrandes {
     out
   }
 
-  /** δ_{v•}(r) for each source v in `sources`, as one distributed job of
-    * cone sweeps, one workspace per partition. Duplicate sources are
-    * deduplicated before shipping.
+  /** δ_{v•}(r) for each source v in `sources`. The support test
+    * (`LocalBrandes.Workspace.needsSweep`) runs once on the driver and gives
+    * 0.0 to every source it proves has δ_{v•}(r) = 0; the rest are one
+    * distributed job of cone sweeps, one workspace per partition, and no job
+    * runs when no source is left. Duplicate sources are deduplicated before
+    * shipping. Every value has the bits of the local cone sweep.
     */
   def dependenciesOnTarget(
       spark: SparkSession,
@@ -50,23 +54,25 @@ object SparkBrandes {
       sources: Seq[Int],
       r: Int,
       numPartitions: Int = 0): Map[Int, Double] = {
-    g.requireVertex(r, "target r")
+    val distinct = sources.distinct.toArray
+    val live = new LocalBrandes.Workspace(g.n).needsSweep(g, r, distinct) // checks r and sources
+    val (swept, zero) = distinct.indices.partition(live(_))
+    val zeros = zero.map(distinct(_) -> 0.0)
+    if (swept.isEmpty) return zeros.toMap
     val sc = spark.sparkContext
-    val distinct = sources.distinct
     val parts = math.max(1, math.min(
-      if (numPartitions > 0) numPartitions else sc.defaultParallelism, distinct.size))
+      if (numPartitions > 0) numPartitions else sc.defaultParallelism, swept.size))
     val bg = sc.broadcast(g)
     val out = sc
-      .parallelize(distinct, parts)
+      .parallelize(swept.map(distinct(_)), parts)
       .mapPartitions { vs =>
         val graph = bg.value
         val ws = new LocalBrandes.Workspace(graph.n)
         vs.map(v => v -> ws.dependencyOn(graph, v, r))
       }
       .collect()
-      .toMap
     bg.destroy()
-    out
+    (out ++ zeros).toMap
   }
 
   /** For each source v in `sources`, the restriction of its dependency vector

@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.{CSRGraph, LocalBrandes}
 import repro.graphgen.GraphGen
+import repro.testutil.TestGraphs
 
 class BaselinesSpec extends AnyFunSuite {
 
@@ -86,5 +87,15 @@ class BaselinesSpec extends AnyFunSuite {
     val p = Baselines.rkEstimate(karate, r, 10000, 41L)
     for ((name, est) <- Seq("uniform" -> u, "distance" -> d, "rk" -> p))
       assert(math.abs(est - bc) / bc < 0.2, s"$name est=$est bc=$bc")
+  }
+
+  test("distance and RK samplers reject a disconnected graph, saying so") {
+    val g = CSRGraph.fromEdges(TestGraphs.disconnected8)
+    for (r <- Seq(1, 5, 7)) {
+      val d = intercept[IllegalArgumentException](Baselines.distanceEstimate(g, r, 50, 1L))
+      assert(d.getMessage.contains("disconnected"), d.getMessage)
+      val rk = intercept[IllegalArgumentException](Baselines.rkEstimate(g, r, 50, 1L))
+      assert(rk.getMessage.contains("disconnected"), rk.getMessage)
+    }
   }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.graph.{CSRGraph, LocalBrandes}
+import repro.graph.{CSRGraph, LocalBrandes, SparkBrandes}
 import repro.graphgen.GraphGen
 
 class MHSingleSpec extends SparkSpec {
@@ -161,5 +161,33 @@ class MHSingleSpec extends SparkSpec {
     intercept[IllegalArgumentException](MHSingle.runSpark(spark, karate, 0, -1, 1L))
     val c = MHSingle.run(karate, 0, 0, 1L)
     assert(c.states.length == 1 && c.T == 0)
+  }
+
+  test("on a BA leaf target (mostly zero delta) run and runSpark agree bit for bit and delta is exact") {
+    val g = CSRGraph.fromEdges(GraphGen.barabasiAlbert(500, 2, 3L))
+    val leaf = (0 until g.n).minBy(g.degree)
+    val column = LocalBrandes.dependencyColumn(g, leaf)
+    assert(column.count(_ == 0.0) > g.n / 2, "the target should have delta = 0 for most sources")
+    val loc = MHSingle.run(g, leaf, 600, 47L)
+    val spk = MHSingle.runSpark(spark, g, leaf, 600, 47L)
+    assert(loc.states.sameElements(spk.states) && loc.accepted.sameElements(spk.accepted))
+    assert(loc.delta == spk.delta)
+    assert(loc.delta.size == (loc.states(0) +: loc.proposals).distinct.length)
+    assert(loc.delta.values.exists(_ == 0.0) && loc.delta.values.exists(_ > 0.0))
+    loc.delta.foreach { case (v, d) =>
+      assert(d == LocalBrandes.dependencyOn(g, v, leaf), s"delta_$v($leaf)")
+    }
+  }
+
+  test("dependenciesOnTarget on a BC = 0 target gives 0.0 per requested source and runs no job") {
+    val star = CSRGraph.fromEdges(GraphGen.star(50))
+    val sc = spark.sparkContext
+    sc.setJobGroup("zero-bc-target", "every source ruled out by the support test")
+    val out = try SparkBrandes.dependenciesOnTarget(spark, star, Seq(3, 0, 1, 3, 49), 1)
+      finally sc.clearJobGroup()
+    assert(out == Map(3 -> 0.0, 0 -> 0.0, 1 -> 0.0, 49 -> 0.0))
+    assert(sc.statusTracker.getJobIdsForGroup("zero-bc-target").isEmpty)
+    val chain = MHSingle.runSpark(spark, star, 1, 200, 53L)
+    assert(chain.acceptanceRate == 1.0 && chain.estimateHarmonic == 0.0)
   }
 }

@@ -1,20 +1,19 @@
 package repro.graph
 
 import scala.util.Random
+import org.scalacheck.{Gen, Prop, Test => Check}
 import repro.SparkSpec
 import repro.graphgen.{EdgeList, GraphGen}
 import repro.testutil.TestGraphs
 
-/** The cone sweep (`LocalBrandes.Workspace.dependencyOn`) against the
-  * full-sweep reference (`LocalBrandes.dependency`). The two must agree to
-  * the bit, so every comparison here is `==`, never a tolerance.
+/** The cone sweep (`LocalBrandes.Workspace.dependencyOn`) and the support
+  * test (`Workspace.needsSweep`) against the full-sweep reference
+  * (`LocalBrandes.dependency`). The two must agree to the bit, so every
+  * comparison here is `==`, never a tolerance.
   */
 class ConeKernelSpec extends SparkSpec {
 
-  /** Path 0-1-2-3 (1 and 2 are cut vertices, 3 is a leaf), triangle 4-5-6,
-    * and the isolated vertex 7.
-    */
-  private val disconnected = EdgeList(8, Vector((0, 1), (1, 2), (2, 3), (4, 5), (4, 6), (5, 6)))
+  private val disconnected = TestGraphs.disconnected8
 
   private val graphs: Seq[(String, EdgeList)] = TestGraphs.battery ++ Seq(
     "ba200" -> GraphGen.barabasiAlbert(200, 3, 7L),
@@ -133,5 +132,104 @@ class ConeKernelSpec extends SparkSpec {
     assert(d.forall(java.lang.Double.isFinite))
     val okWs = new LocalBrandes.Workspace(ok.n)
     assert(okWs.dependencyOn(ok, 0, 250 * 500 + 250) == d(250 * 500 + 250))
+  }
+
+  /** Full-sweep δ_s(r) for every (s, r): `full(s)(r)`, with δ_r(r) = 0. */
+  private def fullTable(g: CSRGraph): Array[Array[Double]] = Array.tabulate(g.n)(LocalBrandes.dependency(g, _))
+
+  test("support test decides delta > 0 exactly for every (s, r), one workspace, shuffled") {
+    val ws = new LocalBrandes.Workspace(graphs.map(_._2.n).max)
+    val csr = graphs.map { case (name, el) => name -> CSRGraph.fromEdges(el) }.toMap
+    val full = csr.map { case (name, g) => name -> fullTable(g) }
+    new Random(8L).shuffle(csr.toSeq.flatMap { case (name, g) => (0 until g.n).map(name -> _) })
+      .foreach { case (name, r) =>
+        val g = csr(name)
+        val live = ws.needsSweep(g, r, Array.range(0, g.n))
+        (0 until g.n).foreach(s => assert(live(s) == (full(name)(s)(r) > 0.0),
+          s"$name s=$s r=$r: test ${live(s)}, delta ${full(name)(s)(r)}"))
+      }
+    // disconnected8: s == r, another component and the isolated vertex are all ruled out
+    val g = CSRGraph.fromEdges(disconnected)
+    assert(ws.needsSweep(g, 1, Array(1, 0, 4, 7, 3, 2)).sameElements(Array(false, true, false, false, true, true)))
+    assert(ws.needsSweep(g, 7, Array(0, 7)).sameElements(Array(false, false)))
+  }
+
+  test("support test over many batches of N(r): star(300) centre and a BA hub, delta exact") {
+    val star = CSRGraph.fromEdges(GraphGen.star(300))
+    val ba = CSRGraph.fromEdges(GraphGen.barabasiAlbert(3000, 3, 7L))
+    val hub = (0 until ba.n).maxBy(ba.degree)
+    assert(star.degree(0) > 128 && ba.degree(hub) > 128, "need deg(r) > 128: at least 3 batches")
+    for ((g, r) <- Seq(star -> 0, ba -> hub, ba -> (0 until ba.n).minBy(ba.degree))) {
+      val ws = new LocalBrandes.Workspace(g.n)
+      val all = Array.range(0, g.n)
+      val want = all.map(LocalBrandes.dependencyOn(g, _, r))
+      val live = ws.needsSweep(g, r, all)
+      all.foreach(s => assert(live(s) == (want(s) > 0.0), s"s=$s r=$r"))
+      assert(ws.dependenciesOnTarget(g, all, r).sameElements(want), s"r=$r")
+    }
+  }
+
+  test("support test cost cap: few undecided sources and many batches fall back to the cone sweep") {
+    // K_201 without the edges (1,2) and (3,200); r = 0 has 200 neighbours, 4 batches.
+    // delta_s(0) > 0 only for s = 1, 2 (each other's successor, batch 0), 200 (successor 3,
+    // batch 0) and 3 (successor 200, batch 3); every other source has delta 0.
+    val gone = Set((1, 2), (3, 200))
+    val g = CSRGraph.fromEdges(EdgeList(201,
+      (for (u <- 0 until 201; v <- u + 1 until 201 if !gone((u, v))) yield (u, v)).toVector))
+    val ws = new LocalBrandes.Workspace(g.n)
+    val want = Array.tabulate(g.n)(LocalBrandes.dependencyOn(g, _, 0))
+    assert((0 until g.n).filter(want(_) > 0.0) == Seq(1, 2, 3, 200))
+    // Run to the end, the test rules out every zero source.
+    assert(ws.needsSweep(g, 0, Array.range(0, g.n)).sameElements(want.map(_ > 0.0)))
+    // 2 sources, 4 batches: the test stops at once; both are swept.
+    assert(ws.needsSweep(g, 0, Array(4, 5)).sameElements(Array(true, true)))
+    // 5 sources > 4 batches: batch 0 proves 1, 2 and 200; then 2 undecided <= 3 batches
+    // left, so 3 (delta > 0) and 4 (delta = 0) are swept.
+    val few = Array(1, 2, 200, 3, 4)
+    assert(ws.needsSweep(g, 0, few).sameElements(Array(true, true, true, true, true)))
+    for (sources <- Seq(few, Array(4, 5), Array.range(0, g.n)))
+      assert(ws.dependenciesOnTarget(g, sources, 0).sameElements(sources.map(want(_))))
+  }
+
+  test("property: cone sweep and support test equal the full sweep on random ER/BA graphs") {
+    def union(a: EdgeList, b: EdgeList): EdgeList =
+      EdgeList(a.n + b.n, a.edges ++ b.edges.map { case (u, v) => (u + a.n, v + a.n) })
+    val graphGen: Gen[EdgeList] = for {
+      n <- Gen.choose(3, 40)
+      seed <- Gen.choose(0L, 1000000L)
+      p <- Gen.choose(0.0, 0.3)
+      m <- Gen.choose(1, 3)
+      ba <- Gen.oneOf(true, false)
+      parts <- Gen.choose(1, 3) // 2: plus another component, 3: plus an isolated vertex too
+    } yield {
+      val main = if (ba && n > m + 1) GraphGen.barabasiAlbert(n, m, seed) else GraphGen.erdosRenyi(n, p, seed)
+      val other = if (parts >= 2) union(main, GraphGen.erdosRenyi(n / 2 + 2, p, seed + 1)) else main
+      if (parts == 3) EdgeList(other.n + 1, other.edges) else other
+    }
+    val caseGen = for {
+      el <- graphGen
+      r <- Gen.choose(0, el.n - 1)
+      sources <- Gen.listOf(Gen.choose(0, el.n - 1))
+    } yield (el, r, sources.toArray)
+    val ws = new LocalBrandes.Workspace(200)
+    val prop = Prop.forAll(caseGen) { case (el, r, sources) =>
+      val g = CSRGraph.fromEdges(el)
+      val want = Array.tabulate(g.n)(LocalBrandes.dependencyOn(g, _, r))
+      val live = ws.needsSweep(g, r, sources)
+      (0 until g.n).forall(s => ws.dependencyOn(g, s, r) == want(s)) &&
+        ws.dependenciesOnTarget(g, sources, r).sameElements(sources.map(want(_))) &&
+        sources.indices.forall(i => live(i) || want(sources(i)) == 0.0)
+    }
+    val result = Check.check(Check.Parameters.default.withMinSuccessfulTests(300).withInitialSeed(11L), prop)
+    assert(result.passed, result.status.toString)
+  }
+
+  test("support test rejects a target or source outside [0, n)") {
+    val g = CSRGraph.fromEdges(GraphGen.karateClub)
+    val ws = new LocalBrandes.Workspace(g.n)
+    val e = intercept[IllegalArgumentException](ws.needsSweep(g, g.n, Array(0)))
+    assert(e.getMessage.contains(s"target r = ${g.n}"))
+    intercept[IllegalArgumentException](ws.needsSweep(g, 0, Array(1, -1)))
+    assert(ws.needsSweep(g, 0, Array.empty[Int]).isEmpty)
   }
 }

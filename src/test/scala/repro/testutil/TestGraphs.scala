@@ -154,6 +154,11 @@ object TestGraphs {
       connectedGraphGen.pureApply(Gen.Parameters.default, org.scalacheck.rng.Seed(i.toLong))
     }
 
+  /** Path 0-1-2-3 (1 and 2 are cut vertices, 3 is a leaf), triangle 4-5-6,
+    * and the isolated vertex 7.
+    */
+  val disconnected8: EdgeList = EdgeList(8, Vector((0, 1), (1, 2), (2, 3), (4, 5), (4, 6), (5, 6)))
+
   /** A small fixed battery of named graphs used across suites. */
   def battery: Seq[(String, EdgeList)] = Seq(
     "path8" -> GraphGen.path(8),
