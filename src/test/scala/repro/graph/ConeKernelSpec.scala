@@ -134,13 +134,10 @@ class ConeKernelSpec extends SparkSpec {
     assert(okWs.dependencyOn(ok, 0, 250 * 500 + 250) == d(250 * 500 + 250))
   }
 
-  /** Full-sweep δ_s(r) for every (s, r): `full(s)(r)`, with δ_r(r) = 0. */
-  private def fullTable(g: CSRGraph): Array[Array[Double]] = Array.tabulate(g.n)(LocalBrandes.dependency(g, _))
-
   test("support test decides delta > 0 exactly for every (s, r), one workspace, shuffled") {
     val ws = new LocalBrandes.Workspace(graphs.map(_._2.n).max)
     val csr = graphs.map { case (name, el) => name -> CSRGraph.fromEdges(el) }.toMap
-    val full = csr.map { case (name, g) => name -> fullTable(g) }
+    val full = csr.map { case (name, g) => name -> Array.tabulate(g.n)(LocalBrandes.dependency(g, _)) }
     new Random(8L).shuffle(csr.toSeq.flatMap { case (name, g) => (0 until g.n).map(name -> _) })
       .foreach { case (name, r) =>
         val g = csr(name)
