@@ -12,10 +12,12 @@ object Estimators {
   /** Exact optimal distribution π_r(v) = δ_{v•}(r) / BC(r) (Eq. 5).
     * Returns the all-zero vector if BC(r) = 0 (r on no shortest path).
     */
-  def exactPi(g: CSRGraph, r: Int): Array[Double] = {
-    val col = LocalBrandes.dependencyColumn(g, r)
+  def exactPi(g: CSRGraph, r: Int): Array[Double] = normalise(LocalBrandes.dependencyColumn(g, r))
+
+  /** A dependency column divided by its sum BC(r), or all zeros when BC(r) = 0. */
+  private def normalise(col: Array[Double]): Array[Double] = {
     val z = col.sum
-    if (z == 0.0) new Array[Double](g.n) else col.map(_ / z)
+    if (z == 0.0) new Array[Double](col.length) else col.map(_ / z)
   }
 
   /** Empirical distribution of a sequence of chain states over `0 until n`. */
@@ -45,13 +47,11 @@ object Estimators {
     * over w ∈ V(G) of min{1, δ_{w•}(r_i)/δ_{w•}(r_j)}.
     */
   def exactRelative(g: CSRGraph, ri: Int, rj: Int): Double = {
+    val ci = LocalBrandes.dependencyColumn(g, ri)
+    val cj = LocalBrandes.dependencyColumn(g, rj)
     var s = 0.0
     var w = 0
-    while (w < g.n) {
-      val d = LocalBrandes.dependency(g, w)
-      s += cappedRatio(if (w == ri) 0.0 else d(ri), if (w == rj) 0.0 else d(rj))
-      w += 1
-    }
+    while (w < g.n) { s += cappedRatio(ci(w), cj(w)); w += 1 }
     s / g.n
   }
 
@@ -60,14 +60,13 @@ object Estimators {
     * δ_{w•}(r_j) = 0 carry zero π-weight and are skipped).
     */
   def exactEq19Expectation(g: CSRGraph, ri: Int, rj: Int): Double = {
-    val pj = exactPi(g, rj)
+    val ci = LocalBrandes.dependencyColumn(g, ri)
+    val cj = LocalBrandes.dependencyColumn(g, rj)
+    val pj = normalise(cj)
     var s = 0.0
     var w = 0
     while (w < g.n) {
-      if (pj(w) > 0.0) {
-        val d = LocalBrandes.dependency(g, w)
-        s += pj(w) * cappedRatio(if (w == ri) 0.0 else d(ri), d(rj))
-      }
+      if (pj(w) > 0.0) s += pj(w) * cappedRatio(ci(w), cj(w))
       w += 1
     }
     s
@@ -79,13 +78,11 @@ object Estimators {
     * ratio degenerates to 0/0 (a precondition the paper leaves implicit).
     */
   def supportOverlap(g: CSRGraph, ri: Int, rj: Int): Double = {
+    val ci = LocalBrandes.dependencyColumn(g, ri)
+    val cj = LocalBrandes.dependencyColumn(g, rj)
     var s = 0.0
     var w = 0
-    while (w < g.n) {
-      val d = LocalBrandes.dependency(g, w)
-      s += math.min(if (w == ri) 0.0 else d(ri), if (w == rj) 0.0 else d(rj))
-      w += 1
-    }
+    while (w < g.n) { s += math.min(ci(w), cj(w)); w += 1 }
     s
   }
 

@@ -29,9 +29,12 @@ final case class JointChain(
 
   /** Numerator of Eq. 22 for the ordered pair (i over j):
     * (1/|S(j)|) Σ_{s ∈ S(j)} min{1, δ_{s.v•}(r_i)/δ_{s.v•}(r_j)} — the
-    * estimator of the relative betweenness score B̈C_{r_j}(r_i).
+    * estimator of the relative betweenness score B̈C_{r_j}(r_i). NaN when
+    * S(j) is empty; throws `IllegalArgumentException` unless i and j are
+    * indices into R.
     */
   def relativeEstimate(i: Int, j: Int): Double = {
+    requireIndex(i, "i"); requireIndex(j, "j")
     val idx = sampleIndices(j)
     if (idx.isEmpty) Double.NaN
     else idx.map { t =>
@@ -40,9 +43,17 @@ final case class JointChain(
     }.sum / idx.size
   }
 
-  /** Eq. 22: estimate of BC(r_i)/BC(r_j). */
-  def ratioEstimate(i: Int, j: Int): Double =
+  /** Eq. 22: estimate of BC(r_i)/BC(r_j), for two distinct indices into R
+    * (so |R| ≥ 2); throws `IllegalArgumentException` otherwise.
+    */
+  def ratioEstimate(i: Int, j: Int): Double = {
+    requireIndex(i, "i"); requireIndex(j, "j")
+    require(i != j, s"ratioEstimate needs two distinct probes: i = j = $i")
     relativeEstimate(i, j) / relativeEstimate(j, i)
+  }
+
+  private def requireIndex(k: Int, name: String): Unit =
+    require(k >= 0 && k < R.length, s"probe index $name = $k is outside [0, |R|): |R| = ${R.length}")
 }
 
 /** The joint-space Metropolis-Hastings sampler of §4.3: a chain on R × V(G)

@@ -26,31 +26,46 @@ package repro.graph
 object LocalBrandes {
 
   /** Reusable per-thread buffers for the Brandes kernel on graphs of at most
-    * `n` vertices: `dist`, `sigma`, BFS `order`, `delta` and a cone mark. A
-    * call writes only the vertices its BFS reaches and resets exactly those
-    * before it returns, so a call costs O(what it visits), not O(n), and no
-    * sweep allocates (the support test allocates its result, and its two
-    * bit arrays once per workspace). Not thread-safe: use one workspace per
-    * thread, e.g. one per Spark partition.
+    * `n` vertices: one state byte, `sigma`, BFS `order` and `delta` per
+    * vertex, plus cone-predecessor slots the cone sweep allocates on first
+    * use. A call writes only the vertices its BFS reaches and resets them
+    * before it returns: one by one when it reached at most n/4 vertices, by
+    * a bulk fill of the three arrays otherwise. So a call costs O(what it
+    * visits), not O(n), and no sweep allocates (the support test allocates
+    * its result, and its two bit arrays once per workspace). Not
+    * thread-safe: use one workspace per thread, e.g. one per Spark partition.
+    *
+    * '''The state byte.''' `state(v)` is −1 for a vertex the BFS has not
+    * discovered, and otherwise `level mod 3` plus `Cone` when v is marked.
+    * BFS neighbours differ by at most one level, so `level mod 3` alone tells
+    * a neighbour's level apart as predecessor, same level or successor, and
+    * one byte per vertex replaces an `Int` distance and a `Boolean` mark.
+    * `spd` recovers exact distances by counting level changes along `order`.
     *
     * '''The cone.''' By the Brandes recursion (Eq. 4),
     * δ_{s•}(v) = Σ_{w : v ∈ P_s(w)} σ_{sv}/σ_{sw} · (1 + δ_{s•}(w)), so δ_{s•}(r)
     * depends only on σ, and δ of r's successors, their successors, and so on:
     * on r's cone, the descendants of r in s's shortest-path DAG (r included).
-    * The forward BFS marks r and every vertex with a marked predecessor. It
-    * stops at the start of the first level L ≥ dist(r) whose marked vertices
-    * have no successor, before expanding L: at that point every vertex of a
-    * level ≤ L has been discovered, so a vertex of level L has a successor
-    * exactly when it has a neighbour with `dist < 0`, and no vertex past L
-    * can be marked. The backward sweep then runs from the BFS tail down to
-    * r's successors over marked vertices only, adding only into marked
-    * predecessors.
+    * The forward BFS marks r and every vertex with a marked predecessor, and
+    * records each marked predecessor v of w in w's own CSR slot range,
+    * `pred(offsets(w) + k)` for k < `npred(w)`; the count is reset when w is
+    * discovered, and a vertex has at most deg(w) predecessors. A mark is
+    * final once its vertex is dequeued (all its predecessors were dequeued
+    * before it), so the recorded pairs are exactly the pairs (v, w) with v a
+    * marked predecessor of w. The BFS stops at the start of the first level
+    * L ≥ dist(r) whose marked vertices have no successor, before expanding L:
+    * at that point every vertex of a level ≤ L has been discovered, so a
+    * vertex of level L has a successor exactly when it has an undiscovered
+    * neighbour, and no vertex past L can be marked. The backward sweep then
+    * runs from the BFS tail down to r's successors over marked vertices only,
+    * adding into each one's recorded predecessors with no level or mark test.
     *
     * '''Same bits as the full sweep.''' Both sweeps run the same BFS, so σ and
     * the visiting order agree on every vertex the cone sweep reaches. Every
     * addition the full sweep makes into a cone vertex v comes from a DAG
-    * successor of v, which is itself in the cone, and the cone sweep makes
-    * these additions in the same reverse-BFS order with the same operands. So
+    * successor of v, which is itself in the cone, and each such pair is
+    * recorded once; the cone sweep makes one addition per pair in the same
+    * reverse-BFS order with the same operands. So
     * `dependencyOn(g, s, r) == dependency(g, s)(r)` exactly, not just to
     * rounding. Stopping the BFS before level L + 1 drops only unmarked
     * vertices from the tail of `order`, which the backward sweep skips
@@ -58,13 +73,19 @@ object LocalBrandes {
     * as they are.
     */
   final class Workspace(val n: Int) {
-    private[graph] val dist: Array[Int] = Array.fill(n)(-1)
+    import Workspace.{Cone, Undiscovered, below}
+
+    private val state: Array[Byte] = Array.fill(n)(Undiscovered)
     private[graph] val sigma = new Array[Double](n)
     private[graph] val order = new Array[Int](n)
     private[graph] val delta = new Array[Double](n)
-    private val cone = new Array[Boolean](n)
     /** Number of entries of `order` the current call has filled. */
     private[graph] var tail = 0
+    /** Cone predecessor slots: one per arc of `g`, reallocated only for a
+      * graph with more arcs than any before. `npred(w)` counts w's slots in use.
+      */
+    private var pred = Array.emptyIntArray
+    private lazy val npred = new Array[Int](n)
 
     /** δ_{s•}(r) by the cone sweep; 0 when s == r or r is unreachable from s.
       * Throws `IllegalArgumentException` on a vertex outside the graph and
@@ -76,7 +97,7 @@ object LocalBrandes {
       val d =
         try {
           val pos = forward(g, s, r)
-          if (pos < 0) 0.0 else { backward(g, pos + 1, coneOnly = true); delta(r) }
+          if (pos < 0) 0.0 else { coneBackward(g, pos + 1); delta(r) }
         } finally clear()
       requireFinite(s, r, d)
     }
@@ -116,11 +137,11 @@ object LocalBrandes {
       checkGraph(g); g.requireVertex(r, "target r")
       sources.foreach(g.requireVertex(_, "source s"))
       try {
-        forward(g, r, -1) // dist(v) = d(r, v); `order` lists r's component level by level
-        // `cone` marks the requested sources not yet shown to have δ > 0.
+        forward(g, r, -1) // `order` lists r's component level by level
+        // The cone bit marks the requested sources not yet shown to have δ > 0.
         var undecided = 0
         sources.foreach { s =>
-          if (s != r && dist(s) >= 0 && !cone(s)) { cone(s) = true; undecided += 1 }
+          if (s != r && state(s) >= 0 && state(s) < Cone) { state(s) = (state(s) | Cone).toByte; undecided += 1 }
         }
         val first = g.offsets(r)
         val deg = g.degree(r)
@@ -131,7 +152,7 @@ object LocalBrandes {
           b += 1
         }
         val complete = b == batches
-        sources.map(s => s != r && dist(s) >= 0 && !(complete && cone(s)))
+        sources.map(s => s != r && state(s) >= 0 && !(complete && state(s) >= Cone))
       } finally clear()
     }
 
@@ -145,7 +166,7 @@ object LocalBrandes {
       */
     private def supportBatch(g: CSRGraph, first: Int, cnt: Int, undecided: Int): Int = {
       val off = g.offsets; val nbr = g.neighbors
-      val sb = sBits; val tb = tBits
+      val st = state; val sb = sBits; val tb = tBits
       val all = if (cnt == 64) -1L else (1L << cnt) - 1
       var i = 0
       while (i < tail) { val v = order(i); sb(v) = all; tb(v) = all; i += 1 }
@@ -158,20 +179,21 @@ object LocalBrandes {
       i = 1
       while (i < tail && left > 0) {
         val x = order(i); i += 1
-        val lx = dist(x)
+        val lx = st(x) & 3
+        val lp = below(lx)
         val tx = tb(x)
         var sx = sb(x)
         var k = off(x); val end = off(x + 1)
         while (k < end) {
           val y = nbr(k)
-          val ly = dist(y)
-          if (ly < lx) sx &= sb(y)
+          val ly = st(y) & 3
+          if (ly == lp) sx &= sb(y)
           else if (ly == lx) sx &= tb(y)
           else tb(y) &= tx
           k += 1
         }
         sb(x) = sx
-        if (sx != 0L && cone(x)) { cone(x) = false; left -= 1 }
+        if (sx != 0L && st(x) >= Cone) { st(x) = (st(x) & 3).toByte; left -= 1 }
       }
       left
     }
@@ -199,104 +221,170 @@ object LocalBrandes {
     /** Full sweep that leaves its result in the buffers. */
     private[graph] def fullSweep(g: CSRGraph, s: Int): Unit = {
       forward(g, s, -1)
-      backward(g, 0, coneOnly = false)
+      backward(g)
       delta(s) = 0.0
     }
 
     private def checkGraph(g: CSRGraph): Unit =
       require(g.n <= n, s"workspace for $n vertices cannot serve a graph with n = ${g.n}")
 
-    /** BFS from `s` filling `dist`, `sigma` and `order`. With a target r ≥ 0
-      * it also marks r's cone and stops at the first level, from dist(r) on,
-      * whose marked vertices have no successor (see `coneGrows`); it returns
-      * r's position in `order`, or −1 if the BFS never reached r.
+    /** BFS from `s` filling `state`, `sigma` and `order`. With a target r ≥ 0
+      * it also marks r's cone, records each vertex's marked predecessors, and
+      * stops at the first level, from dist(r) on, whose marked vertices have
+      * no successor (see `coneGrows`); it returns r's position in `order`, or
+      * −1 if the BFS never reached r.
       */
     private[graph] def forward(g: CSRGraph, s: Int, r: Int): Int = {
       val off = g.offsets; val nbr = g.neighbors
-      dist(s) = 0; sigma(s) = 1.0
-      order(0) = s; tail = 1
+      val st = state; val sg = sigma; val ord = order
+      val coneSweep = r >= 0
+      if (coneSweep && pred.length < nbr.length) pred = new Array[Int](nbr.length)
+      val pr = pred; val np = if (coneSweep) npred else null
+      st(s) = 0; sg(s) = 1.0
+      ord(0) = s
+      var t = 1          // entries of `order` filled
       var head = 0
       var levelEnd = 1   // end in `order` of the level being expanded
+      var next = 1       // level mod 3 of the vertices this level discovers
       var rPos = -1
-      while (head < tail) {
+      while (head < t) {
         if (head == levelEnd) {
           // The level starting here is complete, and so are its marks.
-          if (rPos >= 0 && !coneGrows(g, head, tail)) return rPos
-          levelEnd = tail
+          if (rPos >= 0 && !coneGrows(g, head, t)) { tail = t; return rPos }
+          levelEnd = t
+          next = if (next == 2) 0 else next + 1
         }
-        val v = order(head); head += 1
-        val dw = dist(v) + 1
-        val sv = sigma(v)
-        val mv = cone(v)
+        val v = ord(head); head += 1
+        val sv = sg(v)
+        val mv = st(v) >= Cone
         var k = off(v); val end = off(v + 1)
         while (k < end) {
           val w = nbr(k)
-          if (dist(w) < 0) {
-            dist(w) = dw; order(tail) = w
-            if (w == r) { cone(w) = true; rPos = tail }
-            tail += 1
+          var sw = st(w).toInt
+          if (sw < 0) {
+            sw = if (w == r) { rPos = t; next | Cone } else next
+            st(w) = sw.toByte; ord(t) = w; t += 1
+            if (coneSweep) np(w) = 0
           }
-          if (dist(w) == dw) {
-            sigma(w) += sv
-            if (mv) cone(w) = true
+          if ((sw & 3) == next) {
+            sg(w) += sv
+            if (mv) {
+              if (sw < Cone) st(w) = (sw | Cone).toByte
+              val c = np(w); pr(off(w) + c) = v; np(w) = c + 1
+            }
           }
           k += 1
         }
       }
+      tail = t
       rPos
     }
 
     /** Whether a marked vertex of the level `order(from until to)` has a
       * successor. At the start of a level every vertex of that level or a
       * shallower one has been discovered, so the successors of a vertex there
-      * are exactly its neighbours with `dist < 0`, and the cone grows past
-      * this level only if one of its marked vertices has such a neighbour.
+      * are exactly its undiscovered neighbours, and the cone grows past this
+      * level only if one of its marked vertices has such a neighbour.
       */
     private def coneGrows(g: CSRGraph, from: Int, to: Int): Boolean = {
       val off = g.offsets; val nbr = g.neighbors
       var i = from
       while (i < to) {
         val v = order(i)
-        if (cone(v)) {
+        if (state(v) >= Cone) {
           var k = off(v); val end = off(v + 1)
-          while (k < end) { if (dist(nbr(k)) < 0) return true; k += 1 }
+          while (k < end) { if (state(nbr(k)) < 0) return true; k += 1 }
         }
         i += 1
       }
       false
     }
 
-    /** Brandes accumulation over `order` from the BFS tail down to position
-      * `from`; with `coneOnly` it visits and adds into marked vertices only.
+    /** Brandes accumulation of the full sweep over all of `order`, from the
+      * BFS tail down; a vertex's predecessors are its neighbours one level
+      * (mod 3) below it. The full sweep sets no cone bit.
       */
-    private def backward(g: CSRGraph, from: Int, coneOnly: Boolean): Unit = {
+    private def backward(g: CSRGraph): Unit = {
       val off = g.offsets; val nbr = g.neighbors
+      val st = state; val sg = sigma; val dl = delta
       var i = tail - 1
-      while (i >= from) {
+      while (i >= 0) {
         val w = order(i); i -= 1
-        if (!coneOnly || cone(w)) {
-          val coef = (1.0 + delta(w)) / sigma(w)
-          val dv = dist(w) - 1
-          var k = off(w); val end = off(w + 1)
-          while (k < end) {
-            val v = nbr(k)
-            if (dist(v) == dv && (!coneOnly || cone(v))) delta(v) += sigma(v) * coef
-            k += 1
-          }
+        val coef = (1.0 + dl(w)) / sg(w)
+        val lp = below(st(w))
+        var k = off(w); val end = off(w + 1)
+        while (k < end) {
+          val v = nbr(k)
+          if (st(v) == lp) dl(v) += sg(v) * coef
+          k += 1
         }
       }
     }
 
-    /** Reset every vertex the last call reached. */
-    private def clear(): Unit = {
+    /** Brandes accumulation of the cone sweep from the BFS tail down to
+      * position `from`: each marked vertex adds into its recorded
+      * predecessors, which are exactly its marked predecessors.
+      */
+    private def coneBackward(g: CSRGraph, from: Int): Unit = {
+      val off = g.offsets; val pr = pred; val np = npred
+      val st = state; val sg = sigma; val dl = delta
+      var i = tail - 1
+      while (i >= from) {
+        val w = order(i); i -= 1
+        if (st(w) >= Cone) {
+          val coef = (1.0 + dl(w)) / sg(w)
+          var k = off(w); val end = k + np(w)
+          while (k < end) { val v = pr(k); dl(v) += sg(v) * coef; k += 1 }
+        }
+      }
+    }
+
+    /** Exact distances from the last BFS's source, −1 where it did not reach:
+      * levels never decrease along `order`, and a level change shows as a
+      * change of `level mod 3`. Valid before `clear`, for a BFS with no marks.
+      */
+    private[graph] def distances(): Array[Int] = {
+      val dist = Array.fill(n)(-1)
+      var d = 0
       var i = 0
       while (i < tail) {
         val v = order(i)
-        dist(v) = -1; sigma(v) = 0.0; delta(v) = 0.0; cone(v) = false
+        if (i > 0 && state(v) != state(order(i - 1))) d += 1
+        dist(v) = d
         i += 1
+      }
+      dist
+    }
+
+    /** Reset every vertex the last call reached: one by one, or by a bulk
+      * fill once the call reached more than n/4 vertices, where the scattered
+      * writes would cost more than a sequential pass.
+      */
+    private def clear(): Unit = {
+      if (tail > n / 4) {
+        java.util.Arrays.fill(state, Undiscovered)
+        java.util.Arrays.fill(sigma, 0.0)
+        java.util.Arrays.fill(delta, 0.0)
+      } else {
+        var i = 0
+        while (i < tail) {
+          val v = order(i)
+          state(v) = Undiscovered; sigma(v) = 0.0; delta(v) = 0.0
+          i += 1
+        }
       }
       tail = 0
     }
+  }
+
+  object Workspace {
+    /** `state` of a vertex the BFS has not discovered. */
+    private final val Undiscovered: Byte = -1
+    /** The cone bit of `state`, above the two bits of `level mod 3`. */
+    private final val Cone = 4
+
+    /** `(l − 1) mod 3` for a level l mod 3 in {0, 1, 2}. */
+    @inline private def below(l: Int): Int = if (l == 0) 2 else l - 1
   }
 
   /** Returns δ_{s•}(r) = `d`, or throws `ArithmeticException` naming (s, r)
@@ -330,7 +418,7 @@ object LocalBrandes {
     g.requireVertex(s, "source s")
     val ws = new Workspace(g.n)
     ws.forward(g, s, -1)
-    (ws.dist, ws.sigma, java.util.Arrays.copyOf(ws.order, ws.tail))
+    (ws.distances(), ws.sigma, java.util.Arrays.copyOf(ws.order, ws.tail))
   }
 
   /** Dependency scores δ_{s•}(v) of source `s` on every vertex v (Eq. 2/4),

@@ -133,4 +133,25 @@ class EstimatorsSpec extends AnyFunSuite {
       assert(math.abs(lhs - math.min(di, dj)) < 1e-12)
     }
   }
+
+  test("exactRelative, exactEq19Expectation and supportOverlap have the bits of their full-sweep formulas") {
+    TestGraphs.battery.foreach { case (name, el) =>
+      val g = CSRGraph.fromEdges(el)
+      val full = Array.tabulate(g.n)(LocalBrandes.dependency(g, _))
+      def d(w: Int, r: Int): Double = if (w == r) 0.0 else full(w)(r)
+      for (ri <- 0 until g.n; rj <- 0 until g.n) {
+        val ws = 0 until g.n
+        val relative = ws.foldLeft(0.0)((s, w) => s + Estimators.cappedRatio(d(w, ri), d(w, rj))) / g.n
+        val col = ws.map(d(_, rj)).toArray
+        val z = col.sum
+        val pj = if (z == 0.0) new Array[Double](g.n) else col.map(_ / z)
+        val eq19 = ws.foldLeft(0.0)((s, w) =>
+          if (pj(w) > 0.0) s + pj(w) * Estimators.cappedRatio(d(w, ri), full(w)(rj)) else s)
+        val overlap = ws.foldLeft(0.0)((s, w) => s + math.min(d(w, ri), d(w, rj)))
+        assert(Estimators.exactRelative(g, ri, rj) == relative, s"$name relative($ri, $rj)")
+        assert(Estimators.exactEq19Expectation(g, ri, rj) == eq19, s"$name eq19($ri, $rj)")
+        assert(Estimators.supportOverlap(g, ri, rj) == overlap, s"$name overlap($ri, $rj)")
+      }
+    }
+  }
 }

@@ -150,4 +150,30 @@ class MHJointSpec extends SparkSpec {
     intercept[IllegalArgumentException](MHJoint.run(karate, Array(0, 33), -1, 1L))
     intercept[IllegalArgumentException](MHJoint.runSpark(spark, karate, Array(0, 33), -1, 1L))
   }
+
+  test("relativeEstimate and ratioEstimate reject a j outside [0, |R|), naming it and |R|") {
+    val chain = MHJoint.run(karate, Array(0, 33), 200, 5L)
+    for (j <- Seq(-1, 2)) {
+      val e = intercept[IllegalArgumentException](chain.relativeEstimate(0, j))
+      assert(e.getMessage.contains(s"j = $j") && e.getMessage.contains("|R| = 2"))
+      intercept[IllegalArgumentException](chain.ratioEstimate(0, j))
+    }
+  }
+
+  test("relativeEstimate and ratioEstimate reject an i outside [0, |R|), naming it and |R|") {
+    val chain = MHJoint.run(karate, Array(0, 33), 200, 5L)
+    for (i <- Seq(-1, 2)) {
+      val e = intercept[IllegalArgumentException](chain.relativeEstimate(i, 0))
+      assert(e.getMessage.contains(s"i = $i") && e.getMessage.contains("|R| = 2"))
+      intercept[IllegalArgumentException](chain.ratioEstimate(i, 1))
+    }
+  }
+
+  test("ratioEstimate needs i != j, so a one-probe chain has no ratio") {
+    val chain = MHJoint.run(karate, Array(0, 33), 200, 5L)
+    val e = intercept[IllegalArgumentException](chain.ratioEstimate(1, 1))
+    assert(e.getMessage.contains("i = j = 1"))
+    val single = MHJoint.run(karate, Array(0), 200, 5L)
+    intercept[IllegalArgumentException](single.ratioEstimate(0, 0))
+  }
 }

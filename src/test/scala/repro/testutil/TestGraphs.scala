@@ -50,28 +50,34 @@ object TestGraphs {
     else if (d(s)(v) + d(v)(t) == d(s)(t)) sigma(s)(v) * sigma(v)(t)
     else 0.0
 
-  /** Ordered-pair betweenness of every vertex, by the definition (Eq. 1). */
+  /** Ordered-pair betweenness of every vertex, by the definition (Eq. 1);
+    * a pair with no s–t path contributes nothing.
+    */
   def naiveBC(el: EdgeList): Array[Double] = {
     val d = naiveDistances(el)
     val sigma = naiveSigma(el)
     Array.tabulate(el.n) { v =>
       (for {
         s <- 0 until el.n if s != v
-        t <- 0 until el.n if t != v && t != s
+        t <- 0 until el.n if t != v && t != s && sigma(s)(t) > 0.0
       } yield naiveSigmaThrough(el, sigma, d, s, t, v) / sigma(s)(t)).sum
     }
   }
 
-  /** Dependency column δ_{v•}(r) for all v, by definition. */
-  def naiveDependencyColumn(el: EdgeList, r: Int): Array[Double] = {
-    val d = naiveDistances(el)
-    val sigma = naiveSigma(el)
+  /** Dependency column δ_{v•}(r) for all v, by definition; a target t
+    * unreachable from v contributes nothing.
+    */
+  def naiveDependencyColumn(el: EdgeList, r: Int): Array[Double] =
+    naiveDependencyColumn(el, naiveDistances(el), naiveSigma(el), r)
+
+  /** The same from precomputed [[naiveDistances]] `d` and [[naiveSigma]] `sigma`. */
+  def naiveDependencyColumn(el: EdgeList, d: Array[Array[Int]], sigma: Array[Array[Double]],
+                            r: Int): Array[Double] =
     Array.tabulate(el.n) { v =>
       if (v == r) 0.0
-      else (for (t <- 0 until el.n if t != v && t != r)
+      else (for (t <- 0 until el.n if t != v && t != r && sigma(v)(t) > 0.0)
         yield naiveSigmaThrough(el, sigma, d, v, t, r) / sigma(v)(t)).sum
     }
-  }
 
   def naiveDiameter(el: EdgeList): Int = {
     val d = naiveDistances(el)
