@@ -122,7 +122,6 @@ def main():
                     help="run length; default: BENCHMARK.json's run_seconds")
     ap.add_argument("--workdir", required=True, help="where the two checkouts live")
     ap.add_argument("--out", required=True, help="output JSON, e.g. BENCH_<topic>.json")
-    ap.add_argument("--topic", default=None)
     ap.add_argument("--what", default="")
     ap.add_argument("--traced-seed", type=int, default=None)
     args = ap.parse_args()
@@ -140,7 +139,7 @@ def main():
     paths = {side: os.path.join(os.path.abspath(args.workdir), side) for side in ("parent", "change")}
     shas = {side: checkout(getattr(args, side), paths[side]) for side in paths}
 
-    topic = args.topic or os.path.splitext(os.path.basename(args.out))[0].removeprefix("BENCH_")
+    topic = os.path.splitext(os.path.basename(args.out))[0].removeprefix("BENCH_")
     doc = {
         "topic": topic,
         "what": args.what,
